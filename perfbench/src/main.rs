@@ -15,6 +15,7 @@
 
 // xxi-allow-file: determinism -- a benchmark times host execution
 
+mod calib;
 mod check;
 mod host;
 mod layers;
@@ -31,6 +32,7 @@ use std::time::Instant;
 use xxi_core::par::{Parallelism, Serial};
 use xxi_stack::pool::Pool;
 
+use calib::Calib;
 use check::Expected;
 use layers::{PassHost, PER_LAYER};
 use spans::Recorder;
@@ -194,25 +196,25 @@ fn median(xs: &[f64]) -> f64 {
 }
 
 /// Set-up: the job list from the seed and, for a pool workload, the pool.
-/// Done `SETUP_REPEATS` times, each time appended to `times`; returns the
-/// last.
-fn set_up<W: Workload>(o: &Opts, times: &mut Vec<f64>) -> (W, Option<Pool>) {
+/// Done `SETUP_REPEATS` times, each time appended to `times` at reference
+/// speed (divided by the host's `slowdown`); returns the last.
+fn set_up<W: Workload>(o: &Opts, slowdown: f64, times: &mut Vec<f64>) -> (W, Option<Pool>) {
     let mut built = None;
     for _ in 0..SETUP_REPEATS {
         drop(built.take());
         let t0 = Instant::now();
         let w = W::build(o.seed);
         let pool = W::USES_POOL.then(|| Pool::new(o.workers));
-        times.push(t0.elapsed().as_secs_f64());
+        times.push(t0.elapsed().as_secs_f64() / slowdown);
         built = Some((w, pool));
     }
     built.expect("at least one set-up")
 }
 
-/// One measured run of workload `W`: set-up and a pass, again and again
-/// until `o.seconds` are spent, each pass checked. With `o.trace`, untraced and
-/// traced passes alternate and the per-layer metrics come from the
-/// traced ones.
+/// One measured run of workload `W`: a reading of the host's speed,
+/// set-up and a pass, again and again until `o.seconds` are spent, each
+/// pass checked. With `o.trace`, untraced and traced passes alternate and
+/// the per-layer metrics come from the traced ones.
 fn measure<W: Workload>(o: &Opts) -> Report {
     let expected = expected(W::NAME);
     let mut setups = Vec::new();
@@ -229,12 +231,17 @@ fn measure<W: Workload>(o: &Opts) -> Report {
     let mut failures = Vec::new();
     let mut attempted = 0u64;
     let mut work = 0u64;
-    let (mut plain, mut traced) = (Vec::new(), Vec::new());
+    // Untraced pass times as measured, and every pass at reference speed.
+    let mut plain = Vec::new();
+    let (mut plain_at_ref, mut traced_at_ref) = (Vec::new(), Vec::new());
     let mut layer_passes: Vec<BTreeMap<&'static str, f64>> = Vec::new();
 
+    // Host-speed readings run on as many threads as the passes.
+    let mut calib = Calib::new(if W::USES_POOL { o.workers + 1 } else { 1 });
     let start = Instant::now();
     for pass_no in 0u32.. {
-        let (w, pool) = set_up::<W>(o, &mut setups);
+        let slowdown = calib.host_slowdown();
+        let (w, pool) = set_up::<W>(o, slowdown, &mut setups);
         let is_traced = o.trace && pass_no % 2 == 1;
         let rec = if is_traced { &on } else { &off };
         busy.store(0, Ordering::Relaxed);
@@ -253,7 +260,7 @@ fn measure<W: Workload>(o: &Opts) -> Report {
         let pass_spans = rec.pass(W::NAME, pass_no, || out = Some(w.run(&*exec, rec)));
         let wall = t0.elapsed().as_secs_f64();
         eprintln!(
-            "{} pass {pass_no}{}: {wall:.6} s",
+            "{} pass {pass_no}{}: {wall:.6} s, host slowdown {slowdown:.4}",
             W::NAME,
             if is_traced { " (traced)" } else { "" }
         );
@@ -278,7 +285,7 @@ fn measure<W: Workload>(o: &Opts) -> Report {
         work = w_pass;
 
         if is_traced {
-            traced.push(wall);
+            traced_at_ref.push(wall / slowdown);
             let host = PassHost {
                 wall_s: wall,
                 cpu_s,
@@ -289,26 +296,27 @@ fn measure<W: Workload>(o: &Opts) -> Report {
             layer_passes.push(layers::pass_metrics(&pass_spans, &counts, &host));
         } else {
             plain.push(wall);
+            plain_at_ref.push(wall / slowdown);
         }
-        let enough = plain.len() >= MIN_PASSES && (!o.trace || traced.len() >= MIN_PASSES);
+        let enough =
+            plain.len() >= MIN_PASSES && (!o.trace || traced_at_ref.len() >= MIN_PASSES);
         let typical = median(&plain);
         if enough && start.elapsed().as_secs_f64() + typical > o.seconds {
             break;
         }
     }
 
-    // The fastest pass: interference from other work on the host only
-    // ever adds time, so the minimum is the steadiest estimate of what a
-    // pass costs; the median is printed alongside.
-    let wall_s = plain.iter().copied().fold(f64::INFINITY, f64::min);
+    // The median pass at reference speed. Other tenants of the host slow
+    // whole stretches of passes, and the reference kernels run before each
+    // pass slow with them, so the ratio holds where the raw time drifts.
+    let wall_s = median(&plain_at_ref);
     let metrics = if o.trace {
         let path = package_dir().join(format!("out/trace-{}-seed{}.json", W::NAME, o.seed));
         match on.write_chrome(&path) {
             Ok(()) => println!("spans: {}", path.display()),
             Err(e) => eprintln!("perfbench: could not write {}: {e}", path.display()),
         }
-        let fastest_traced = traced.iter().copied().fold(f64::INFINITY, f64::min);
-        let overhead = fastest_traced / wall_s - 1.0;
+        let overhead = median(&traced_at_ref) / wall_s - 1.0;
         PER_LAYER
             .iter()
             .map(|&(name, unit, _)| {
@@ -331,12 +339,12 @@ fn measure<W: Workload>(o: &Opts) -> Report {
     };
     println!(
         "{}: seed {}, {} worker(s), {} untraced + {} traced pass(es), {} {} per pass, \
-         median untraced pass {} s",
+         median untraced pass {} s as measured",
         W::NAME,
         o.seed,
         if W::USES_POOL { o.workers } else { 0 },
         plain.len(),
-        traced.len(),
+        traced_at_ref.len(),
         work,
         W::UNIT,
         median(&plain)
