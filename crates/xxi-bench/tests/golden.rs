@@ -18,11 +18,10 @@
 //! classic `Table::render` text appears verbatim inside `render_text`
 //! (i.e. the Report layer changed nothing about how tables print).
 //!
-//! The three slowest experiments (e9's Monte Carlo, e10's 100k-hour
-//! sensor horizon, e18's real scaling measurement) are `#[ignore]`d in
-//! debug builds to keep `cargo test -q` inside the tier-1 budget; the CI
-//! experiments job runs the full suite in release with
-//! `--include-ignored`.
+//! The two slowest experiments (e9's Monte Carlo, e18's real scaling
+//! measurement) are `#[ignore]`d in debug builds to keep `cargo test -q`
+//! inside the tier-1 budget; the CI experiments job runs the full suite in
+//! release with `--include-ignored`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -128,7 +127,7 @@ golden!(golden_e6, "e6");
 golden!(golden_e7, "e7");
 golden!(golden_e8, "e8");
 golden!(golden_e9, "e9", slow);
-golden!(golden_e10, "e10", slow);
+golden!(golden_e10, "e10");
 golden!(golden_e11, "e11");
 golden!(golden_e12, "e12");
 golden!(golden_e13, "e13");

@@ -120,6 +120,10 @@ impl Rng64 {
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0,1]`).
+    ///
+    /// Draw contract: consumes exactly one [`Rng64::next_u64`], whatever
+    /// `p` and the outcome. Callers may rely on it to step a stream past a
+    /// trial without evaluating it (the sensor node's epoch kernel does).
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
@@ -127,6 +131,10 @@ impl Rng64 {
 
     /// Standard normal via Box–Muller (one value per call; the pair's
     /// second member is discarded for simplicity and statelessness).
+    ///
+    /// Draw contract: consumes exactly two [`Rng64::next_u64`]: the first
+    /// sets the radius (`u = 1 - next_f64()`), the second the angle.
+    /// Callers may step over a normal by drawing twice without the math.
     pub fn normal(&mut self) -> f64 {
         // Avoid ln(0) by shifting u into (0, 1].
         let u = 1.0 - self.next_f64();
@@ -134,7 +142,8 @@ impl Rng64 {
         (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
     }
 
-    /// Normal with mean `mu` and standard deviation `sigma`.
+    /// Normal with mean `mu` and standard deviation `sigma`. Consumes
+    /// exactly two [`Rng64::next_u64`], as [`Rng64::normal`] does.
     #[inline]
     pub fn normal_with(&mut self, mu: f64, sigma: f64) -> f64 {
         mu + sigma * self.normal()
@@ -278,6 +287,35 @@ mod tests {
             .count();
         // Around n/2 for independent streams.
         assert!((matches as f64 - n as f64 / 2.0).abs() < 4.0 * (n as f64 / 4.0).sqrt());
+    }
+
+    /// The draw contract stated on `chance`, `normal` and `normal_with`:
+    /// one, two and two `next_u64` draws, whatever the parameters.
+    #[test]
+    fn chance_draws_one_u64_and_normal_draws_two() {
+        for seed in 0..64 {
+            let mut a = Rng64::new(seed);
+            let mut b = a.clone();
+            for p in [0.0, 0.0002, 0.5, 1.0, 2.0] {
+                a.chance(p);
+                b.next_u64();
+                assert_eq!(a.next_u64(), b.next_u64(), "chance({p}), seed {seed}");
+            }
+            a.normal();
+            b.next_u64();
+            b.next_u64();
+            assert_eq!(a.next_u64(), b.next_u64(), "normal, seed {seed}");
+            for (mu, sigma) in [(0.0, 0.05), (10.0, 3.0), (0.0, 0.0)] {
+                a.normal_with(mu, sigma);
+                b.next_u64();
+                b.next_u64();
+                assert_eq!(
+                    a.next_u64(),
+                    b.next_u64(),
+                    "normal_with({mu}, {sigma}), seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //!   the forward-progress guarantee tested (§2.1's "leverage intermittent
 //!   power").
 
+mod epoch;
 pub mod intermittent;
 pub mod mcu;
 pub mod node;

@@ -23,9 +23,35 @@
 //! energy (link-layer retransmissions). [`SensorNode::run`] and
 //! [`SensorNode::run_observed`] are the empty-plan special case,
 //! bit-identical to the pre-fault-seam behavior.
+//!
+//! Each epoch needs only two booleans from its synthetic signal: whether
+//! it holds an anomaly, and whether the detector fires. A private epoch
+//! kernel yields both, bit-for-bit the answers of `SignalGen::generate` and
+//! the detector, without building the signal in the common case. Under
+//! send-raw and compress only the anomaly flag matters: the kernel draws
+//! each sample's `chance`, steps over the noise's two draws (the
+//! `Rng64` draw contract), and stops at the first anomaly start. Under the
+//! filter it bounds each sample instead of computing it: the carrier comes
+//! from a per-phase table built with `generate`'s own expression, and the
+//! Box–Muller noise is bounded as `|noise| ≤ σ·√(2·L(u))`, where
+//! `L(u) = ln 2·(1 − m − e)` for `u = m·2^e` is the chord of the convex
+//! `−ln m` over `[1, 2]` and so bounds `−ln u` from above without `ln`,
+//! the angle's draw, or `cos`. Squared, these give per-sample bounds
+//! `lo² ≤ x² ≤ hi²`, hence bounds on the epoch mean square and on every
+//! window mean. The verdict is "no" when every window's upper mean lies
+//! below `T²·` the lower epoch mean square, and "yes" when some window's
+//! lower mean lies above `T²·` the upper one. The error budget: each
+//! per-sample bound is widened by 2⁻⁴⁰ (≈ 8192 ulps, against ≤ 1 ulp each
+//! from libm's `ln`, `sqrt`, `cos` and a few roundings), and each window
+//! comparison by a relative `(n + 64)·2⁻⁴⁸` plus an absolute
+//! `n·(w + 1)·2⁻⁴⁸·max hi²`, 16× the rounding the detector's `n`-term
+//! sums and running window adds/subtracts can accumulate (n samples,
+//! window w). Any epoch the bounds cannot decide — about 0.3% of e10's —
+//! is regenerated and detected exactly, so outputs are byte-identical.
 
 use serde::{Deserialize, Serialize};
 
+use crate::epoch::EpochKernel;
 use crate::mcu::Mcu;
 use crate::power::{Battery, Harvester};
 use crate::radio::Radio;
@@ -245,6 +271,7 @@ impl SensorNode {
             anomaly_rate: 0.0002,
             ..SignalGen::default()
         };
+        let mut kernel = EpochKernel::new(gen, cfg.epoch_samples, cfg.window, cfg.threshold);
         let mut elapsed = 0.0f64;
         let mut bits_sent = 0u64;
         let mut radio_energy = Energy::ZERO;
@@ -270,8 +297,12 @@ impl SensorNode {
                 ledger.charge("harvester", Layer::Harvest, e_h);
             }
             epoch_seed = epoch_seed.wrapping_mul(6364136223846793005).wrapping_add(7);
-            let (signal, mask) = gen.generate(cfg.epoch_samples, epoch_seed);
-            let has_anomaly = mask.iter().any(|&m| m);
+            let (has_anomaly, detected) = match policy {
+                NodePolicy::FilterThenSend => kernel.filter(epoch_seed),
+                NodePolicy::SendRaw | NodePolicy::CompressThenSend => {
+                    (kernel.has_anomaly(epoch_seed), false)
+                }
+            };
             if has_anomaly {
                 anomaly_epochs += 1;
             }
@@ -288,7 +319,7 @@ impl SensorNode {
                 }
                 NodePolicy::FilterThenSend => {
                     ops += cfg.ops_per_sample_filter * cfg.epoch_samples as u64;
-                    if detect(&signal, cfg.window, cfg.threshold) {
+                    if detected {
                         bits = cfg.epoch_samples as u64 * cfg.bits_per_sample as u64;
                         reported = has_anomaly;
                     }
@@ -406,27 +437,6 @@ struct FaultStats {
     reported_epochs: u64,
     probe_energy: Energy,
     faults: FaultInjector,
-}
-
-/// Moving-mean-of-squares anomaly detector: fires when any window's RMS
-/// exceeds `threshold ×` the epoch RMS baseline.
-fn detect(signal: &[f64], window: usize, threshold: f64) -> bool {
-    let epoch_ms = signal.iter().map(|x| x * x).sum::<f64>() / signal.len() as f64;
-    if epoch_ms == 0.0 {
-        return false;
-    }
-    let mut acc = 0.0;
-    for (i, x) in signal.iter().enumerate() {
-        acc += x * x;
-        if i >= window {
-            acc -= signal[i - window] * signal[i - window];
-        }
-        let n = window.min(i + 1) as f64;
-        if acc / n > threshold * threshold * epoch_ms {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
