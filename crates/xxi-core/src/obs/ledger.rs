@@ -87,6 +87,22 @@ impl EnergyLedger {
     /// different layer is a wiring bug and panics in debug builds.
     #[inline]
     pub fn charge(&mut self, component: &'static str, layer: Layer, energy: Energy) {
+        self.charge_n(component, layer, energy, 1);
+    }
+
+    /// Attribute `events` charges totalling `energy` to `component` with
+    /// one entry lookup — the batched form of [`EnergyLedger::charge`] for
+    /// hot loops that keep a running sum. When `energy` is the in-order sum
+    /// of the `events` amounts, starting from zero, and `component` has no
+    /// entry yet, the entry is bit-identical to the one those `events`
+    /// `charge` calls would make (on an existing entry the single addition
+    /// may round differently from the sequence). With `events == 0` this is
+    /// a no-op: no row appears.
+    #[inline]
+    pub fn charge_n(&mut self, component: &'static str, layer: Layer, energy: Energy, events: u64) {
+        if events == 0 {
+            return;
+        }
         let e = self.entries.entry(component).or_insert(Entry {
             layer,
             energy: Energy::ZERO,
@@ -97,7 +113,7 @@ impl EnergyLedger {
             "component {component:?} charged under two layers"
         );
         e.energy += energy;
-        e.events += 1;
+        e.events += events;
     }
 
     /// Number of distinct components charged.
@@ -273,6 +289,44 @@ mod tests {
         assert!((a.component("dram").nj() - 4.0).abs() < 1e-9);
         let (_, _, _, events) = a.components().find(|(n, ..)| *n == "link").unwrap();
         assert_eq!(events, 2);
+    }
+
+    #[test]
+    fn charge_n_equals_k_charges() {
+        fn rows(ledger: &EnergyLedger) -> Vec<(&'static str, Layer, u64, u64)> {
+            ledger
+                .components()
+                .map(|(n, l, e, k)| (n, l, e.value().to_bits(), k))
+                .collect()
+        }
+        for (amount, k) in [
+            (Energy(1.0e-12), 1),
+            (Energy(2.0e-12), 7),
+            (Energy(0.1), 1_000),
+        ] {
+            let (mut one_by_one, mut batched) = (EnergyLedger::new(), EnergyLedger::new());
+            let mut sum = Energy::ZERO;
+            for _ in 0..k {
+                one_by_one.charge("link", Layer::Network, amount);
+                sum += amount;
+            }
+            batched.charge_n("link", Layer::Network, sum, k);
+            assert_eq!(rows(&batched), rows(&one_by_one));
+            // Both roll up identically into a ledger that already has rows.
+            let mut base = EnergyLedger::new();
+            base.charge("link", Layer::Network, Energy(3.0e-12));
+            base.charge("dram", Layer::Memory, Energy(5.0e-12));
+            let (mut a, mut b) = (base.clone(), base);
+            a.merge(&one_by_one);
+            b.merge(&batched);
+            assert_eq!(rows(&a), rows(&b));
+        }
+        // Zero events: no entry, not even an empty row.
+        let mut l = EnergyLedger::new();
+        l.charge("alu", Layer::Compute, Energy(1.0));
+        l.charge_n("link", Layer::Network, Energy::ZERO, 0);
+        assert_eq!(l.len(), 1);
+        assert_eq!(l.component("link"), Energy::ZERO);
     }
 
     #[test]

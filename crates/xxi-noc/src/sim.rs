@@ -8,10 +8,34 @@
 //! for latency-vs-offered-load curves: it exhibits the canonical hockey-
 //! stick saturation that experiment E13 sweeps.
 //!
+//! Data layout: all input FIFOs are rings in one flat slot array
+//! (`queue_depth` slots for queue `router * 7 + port`) with a head and a
+//! length per queue, and each router keeps a 7-bit mask of its non-empty
+//! inputs so idle routers cost one byte test per cycle. Routing and
+//! neighbors are tables built once from [`Mesh::route`] and
+//! [`Mesh::neighbor`] (the route table has `nodes²` one-byte entries).
+//! `queue_depth` has no upper bound beyond the memory of `nodes × 7 ×
+//! queue_depth` slots.
+//!
+//! Arbitration: each occupied input's head flit sets its bit in the
+//! request mask of the output it routes to; an output whose downstream
+//! FIFO is full forwards nothing, and otherwise takes the first requesting
+//! input at or after its round-robin pointer, cyclically. That is exactly
+//! the choice of a scan over `(rr + k) % 7` for `k` in `0..7`, because the
+//! downstream check does not depend on which input asks. No slot can be
+//! claimed twice in a cycle: downstream slot `(to, port)` is fed only by
+//! the one output of the one neighbor facing it, and that output
+//! arbitrates once per cycle — so the occupancy at the start of the cycle
+//! is the whole capacity check. A test-only copy of the scan engine
+//! (`sim/reference.rs`) pins the equivalence bit for bit.
+//!
+//! Energy: the measured phase keeps `noc_link`/`noc_router` as running
+//! sums of the same constants a per-hop `charge` would add, in the same
+//! order, and posts them once per run with [`EnergyLedger::charge_n`], so
+//! the ledger is bit-identical to charging every hop.
+//!
 //! Determinism: arbitration state and the injection RNG are seeded, so a
 //! `(config, seed)` pair fully determines the run.
-
-use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
@@ -23,6 +47,9 @@ use xxi_core::stats::Streaming;
 use xxi_core::time::SimTime;
 use xxi_core::units::Energy;
 
+#[cfg(test)]
+mod reference;
+
 /// Trace timestamp of a cycle number, assuming a 1 GHz router clock.
 fn cycle_ts(cycle: u64) -> SimTime {
     SimTime::from_ns(cycle)
@@ -33,12 +60,17 @@ const LINK_HOP_ENERGY: Energy = Energy(2.0e-12);
 /// Router switching energy per flit forwarded or ejected.
 const ROUTER_ENERGY: Energy = Energy(1.0e-12);
 
+/// Port index of ejection to the local node.
+const LOCAL: usize = Dir::Local.index();
+/// Move target meaning "eject at this router".
+const DELIVER: usize = usize::MAX;
+
 /// Simulator configuration.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct NocConfig {
     /// Topology.
     pub mesh: Mesh,
-    /// Per-input-port FIFO depth in flits.
+    /// Per-input-port FIFO depth in flits (at least 1).
     pub queue_depth: usize,
     /// Traffic pattern.
     pub pattern: Pattern,
@@ -61,17 +93,18 @@ impl NocConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Flit {
     dest: usize,
     injected_at: u64,
     hops: u32,
 }
 
-struct Router {
-    inputs: [VecDeque<Flit>; 7],
-    /// Round-robin pointer per output port.
-    rr: [usize; 7],
+/// One input FIFO's window into its `queue_depth` ring slots.
+#[derive(Clone, Copy, Default)]
+struct Ring {
+    head: usize,
+    len: usize,
 }
 
 /// Aggregate results of a run.
@@ -122,14 +155,35 @@ pub struct NocObservation {
 /// The simulator.
 pub struct NocSim {
     cfg: NocConfig,
-    routers: Vec<Router>,
+    /// Ring slots: queue `q` owns `slots[q * queue_depth..][..queue_depth]`.
+    slots: Vec<Flit>,
+    /// Per queue `router * 7 + port`.
+    rings: Vec<Ring>,
+    /// Per router: bit `port` set when that input FIFO is non-empty.
+    occupied: Vec<u8>,
+    /// Round-robin pointer per `router * 7 + output`.
+    rr: Vec<u8>,
+    /// Output port index for `cur * nodes + dest`, from [`Mesh::route`].
+    route: Vec<u8>,
+    /// Downstream queue for `router * 6 + output` (planar and vertical
+    /// outputs only), from [`Mesh::neighbor`]; `usize::MAX` off the mesh,
+    /// which no route reaches (dimension-order hops head for an on-mesh
+    /// destination).
+    downstream: Vec<usize>,
+    /// This cycle's `(from queue, to queue or DELIVER)`, reused.
+    moves: Vec<(usize, usize)>,
     rng: Rng64,
     cycle: u64,
     latency: Streaming,
     hops: Streaming,
     latency_hist: LogHistogram,
     hops_hist: LogHistogram,
-    ledger: EnergyLedger,
+    /// Measured-phase `noc_link` / `noc_router` charges, posted to the
+    /// ledger once at the end of the run.
+    link_energy: Energy,
+    link_events: u64,
+    router_energy: Energy,
+    router_events: u64,
     /// Trace recorder: disabled by default; assign [`Trace::enabled`]
     /// before running to capture per-packet spans (timestamped at 1 ns per
     /// cycle) during the measurement phase.
@@ -146,22 +200,38 @@ impl NocSim {
     pub fn new(cfg: NocConfig) -> NocSim {
         assert!(cfg.queue_depth >= 1);
         assert!((0.0..=1.0).contains(&cfg.injection_rate));
-        let routers = (0..cfg.mesh.nodes())
-            .map(|_| Router {
-                inputs: Default::default(),
-                rr: [0; 7],
+        let mesh = cfg.mesh;
+        let nodes = mesh.nodes();
+        let route = (0..nodes)
+            .flat_map(|cur| (0..nodes).map(move |dest| mesh.route(cur, dest).index() as u8))
+            .collect();
+        let downstream = (0..nodes)
+            .flat_map(|r| {
+                Dir::ALL[..6].iter().map(move |&out| {
+                    mesh.neighbor(r, out)
+                        .map_or(usize::MAX, |to| to * 7 + out.opposite().index())
+                })
             })
             .collect();
         NocSim {
             rng: Rng64::new(cfg.seed),
+            slots: vec![Flit::default(); nodes * 7 * cfg.queue_depth],
+            rings: vec![Ring::default(); nodes * 7],
+            occupied: vec![0; nodes],
+            rr: vec![0; nodes * 7],
+            route,
+            downstream,
+            moves: Vec::new(),
             cfg,
-            routers,
             cycle: 0,
             latency: Streaming::new(),
             hops: Streaming::new(),
             latency_hist: LogHistogram::new(),
             hops_hist: LogHistogram::new(),
-            ledger: EnergyLedger::new(),
+            link_energy: Energy::ZERO,
+            link_events: 0,
+            router_energy: Energy::ZERO,
+            router_events: 0,
             trace: Trace::disabled(),
             delivered: 0,
             offered: 0,
@@ -178,6 +248,35 @@ impl NocSim {
         self.cycle += 1;
     }
 
+    fn push(&mut self, q: usize, f: Flit) {
+        let depth = self.cfg.queue_depth;
+        let ring = &mut self.rings[q];
+        debug_assert!(ring.len < depth);
+        let mut tail = ring.head + ring.len;
+        if tail >= depth {
+            tail -= depth;
+        }
+        ring.len += 1;
+        self.slots[q * depth + tail] = f;
+        self.occupied[q / 7] |= 1 << (q % 7);
+    }
+
+    fn pop(&mut self, q: usize) -> Flit {
+        let depth = self.cfg.queue_depth;
+        let ring = &mut self.rings[q];
+        debug_assert!(ring.len > 0);
+        let f = self.slots[q * depth + ring.head];
+        ring.head += 1;
+        if ring.head == depth {
+            ring.head = 0;
+        }
+        ring.len -= 1;
+        if ring.len == 0 {
+            self.occupied[q / 7] &= !(1 << (q % 7));
+        }
+        f
+    }
+
     fn inject(&mut self) {
         let nodes = self.cfg.mesh.nodes();
         for src in 0..nodes {
@@ -187,16 +286,24 @@ impl NocSim {
             let Some(dest) = self.cfg.pattern.dest(&self.cfg.mesh, src, &mut self.rng) else {
                 continue;
             };
+            assert!(
+                dest < nodes,
+                "destination {dest} is outside the {nodes}-node mesh"
+            );
             if self.measuring {
                 self.offered += 1;
             }
-            let q = &mut self.routers[src].inputs[Dir::Local.index()];
-            if q.len() < self.cfg.queue_depth {
-                q.push_back(Flit {
-                    dest,
-                    injected_at: self.cycle,
-                    hops: 0,
-                });
+            let q = src * 7 + LOCAL;
+            if self.rings[q].len < self.cfg.queue_depth {
+                let injected_at = self.cycle;
+                self.push(
+                    q,
+                    Flit {
+                        dest,
+                        injected_at,
+                        hops: 0,
+                    },
+                );
             } else if self.measuring {
                 self.throttled += 1;
                 self.trace
@@ -209,101 +316,67 @@ impl NocSim {
         // Two-phase: decide all moves against the *current* occupancy, then
         // apply, so a flit moves at most one hop per cycle and router scan
         // order cannot create free-slot races.
-        let mesh = self.cfg.mesh;
-        // (from_router, from_port) -> (to_router, to_port) or delivery.
-        enum Move {
-            Hop {
-                from: usize,
-                port: usize,
-                to: usize,
-                to_port: usize,
-            },
-            Deliver {
-                from: usize,
-                port: usize,
-            },
-        }
-        let mut moves: Vec<Move> = Vec::new();
-        // Claimed slots this cycle: (router, port) -> claims.
-        let mut claims = vec![[0u8; 7]; self.routers.len()];
-
-        for r in 0..self.routers.len() {
-            // Each output port arbitrates independently among input ports.
-            for out in Dir::ALL {
-                let out_idx = out.index();
-                let rr = self.routers[r].rr[out_idx];
-                let mut chosen: Option<usize> = None;
-                for k in 0..7 {
-                    let inp = (rr + k) % 7;
-                    let Some(f) = self.routers[r].inputs[inp].front() else {
+        let nodes = self.occupied.len();
+        let depth = self.cfg.queue_depth;
+        let mut moves = std::mem::take(&mut self.moves);
+        moves.clear();
+        for r in 0..nodes {
+            let mut inputs = self.occupied[r] as u32;
+            if inputs == 0 {
+                continue;
+            }
+            // req[out]: inputs whose head flit routes to `out`.
+            let mut req = [0u32; 7];
+            let mut outs = 0u32;
+            while inputs != 0 {
+                let inp = inputs.trailing_zeros() as usize;
+                inputs &= inputs - 1;
+                let q = r * 7 + inp;
+                let dest = self.slots[q * depth + self.rings[q].head].dest;
+                let out = self.route[r * nodes + dest] as usize;
+                req[out] |= 1 << inp;
+                outs |= 1 << out;
+            }
+            // Outputs in `Dir::ALL` order, as the apply order requires.
+            while outs != 0 {
+                let out = outs.trailing_zeros() as usize;
+                outs &= outs - 1;
+                let to = if out == LOCAL {
+                    DELIVER
+                } else {
+                    let to = self.downstream[r * 6 + out];
+                    if self.rings[to].len == depth {
                         continue;
-                    };
-                    if mesh.route(r, f.dest) != out {
-                        continue;
                     }
-                    // Check downstream capacity.
-                    if out == Dir::Local {
-                        chosen = Some(inp);
-                        break;
-                    }
-                    let Some(to) = mesh.neighbor(r, out) else {
-                        continue;
-                    };
-                    let to_port = out.opposite().index();
-                    let free = self.cfg.queue_depth
-                        - self.routers[to].inputs[to_port].len()
-                        - claims[to][to_port] as usize;
-                    if free > 0 {
-                        chosen = Some(inp);
-                        break;
-                    }
-                }
-                if let Some(inp) = chosen {
-                    self.routers[r].rr[out_idx] = (inp + 1) % 7;
-                    if out == Dir::Local {
-                        moves.push(Move::Deliver { from: r, port: inp });
-                    } else {
-                        let to = mesh.neighbor(r, out).unwrap(); // xxi-allow: panic-path -- route stays inside the mesh
-                        let to_port = out.opposite().index();
-                        claims[to][to_port] += 1;
-                        moves.push(Move::Hop {
-                            from: r,
-                            port: inp,
-                            to,
-                            to_port,
-                        });
-                    }
-                }
+                    to
+                };
+                let want = req[out];
+                let rr = &mut self.rr[r * 7 + out];
+                let after = want & (0x7f << *rr);
+                let inp = if after != 0 { after } else { want }.trailing_zeros() as usize;
+                *rr = ((inp + 1) % 7) as u8;
+                moves.push((r * 7 + inp, to));
             }
         }
 
-        for m in moves {
-            match m {
-                Move::Deliver { from, port } => {
-                    let f = self.routers[from].inputs[port].pop_front().unwrap(); // xxi-allow: panic-path -- moves only name occupied ports
-                    debug_assert_eq!(f.dest, from);
-                    self.delivered_flit(f);
-                }
-                Move::Hop {
-                    from,
-                    port,
-                    to,
-                    to_port,
-                } => {
-                    let mut f = self.routers[from].inputs[port].pop_front().unwrap(); // xxi-allow: panic-path -- moves only name occupied ports
-                    f.hops += 1;
-                    self.link_traversals += 1;
-                    if self.measuring {
-                        self.ledger
-                            .charge("noc_link", Layer::Network, LINK_HOP_ENERGY);
-                        self.ledger
-                            .charge("noc_router", Layer::Network, ROUTER_ENERGY);
-                    }
-                    self.routers[to].inputs[to_port].push_back(f);
-                    debug_assert!(self.routers[to].inputs[to_port].len() <= self.cfg.queue_depth);
-                }
+        for &(from, to) in &moves {
+            let mut f = self.pop(from);
+            if to == DELIVER {
+                debug_assert_eq!(f.dest, from / 7);
+                self.delivered_flit(f);
+                continue;
             }
+            f.hops += 1;
+            self.link_traversals += 1;
+            if self.measuring {
+                self.link_energy += LINK_HOP_ENERGY;
+                self.link_events += 1;
+                self.router_energy += ROUTER_ENERGY;
+                self.router_events += 1;
+            }
+            self.push(to, f);
         }
+        self.moves = moves;
     }
 
     fn delivered_flit(&mut self, f: Flit) {
@@ -314,8 +387,8 @@ impl NocSim {
             self.hops.add(f.hops as f64);
             self.latency_hist.add(cycles);
             self.hops_hist.add(f.hops as f64);
-            self.ledger
-                .charge("noc_router", Layer::Network, ROUTER_ENERGY);
+            self.router_energy += ROUTER_ENERGY;
+            self.router_events += 1;
             self.trace.span_args(
                 "flit",
                 "noc",
@@ -360,13 +433,45 @@ impl NocSim {
             throughput: self.delivered as f64 / cycles / nodes,
             link_traversals: self.link_traversals,
         };
+        let mut ledger = EnergyLedger::new();
+        ledger.charge_n(
+            "noc_link",
+            Layer::Network,
+            self.link_energy,
+            self.link_events,
+        );
+        ledger.charge_n(
+            "noc_router",
+            Layer::Network,
+            self.router_energy,
+            self.router_events,
+        );
         NocObservation {
             result,
             latency: self.latency_hist,
             hops: self.hops_hist,
-            ledger: self.ledger,
+            ledger,
             trace: self.trace,
         }
+    }
+
+    /// Every input queue's flits, front to back, as
+    /// `(dest, injected_at, hops)`; queue `router * 7 + port`.
+    #[cfg(test)]
+    fn queues(&self) -> Vec<Vec<(usize, u64, u32)>> {
+        let depth = self.cfg.queue_depth;
+        self.rings
+            .iter()
+            .enumerate()
+            .map(|(q, ring)| {
+                (0..ring.len)
+                    .map(|i| {
+                        let f = self.slots[q * depth + (ring.head + i) % depth];
+                        (f.dest, f.injected_at, f.hops)
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -532,6 +637,23 @@ mod tests {
         assert_eq!(plain.result.p99_latency, traced.result.p99_latency);
         assert_eq!(plain.trace.events_capacity(), 0);
         assert!(!traced.trace.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 16-node mesh")]
+    fn hotspot_off_the_mesh_panics() {
+        let pattern = Pattern::Hotspot {
+            node: 16,
+            permille: 1000,
+        };
+        let cfg = NocConfig {
+            mesh: Mesh::new_2d(4, 4),
+            queue_depth: 4,
+            pattern,
+            injection_rate: 1.0,
+            seed: 1,
+        };
+        NocSim::new(cfg).run(0, 10);
     }
 
     #[test]

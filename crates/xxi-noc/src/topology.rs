@@ -34,7 +34,7 @@ impl Dir {
     ];
 
     /// Index of this port in [`Dir::ALL`].
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             Dir::East => 0,
             Dir::West => 1,

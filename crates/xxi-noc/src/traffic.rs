@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::topology::Mesh;
+use crate::topology::{Dir, Mesh};
 use xxi_core::rng::Rng64;
 
 /// Destination-selection pattern.
@@ -66,15 +66,19 @@ impl Pattern {
                 }
             }
             Pattern::Neighbor => {
-                let neighbors: Vec<usize> = crate::topology::Dir::ALL
-                    .iter()
-                    .filter(|d| **d != crate::topology::Dir::Local)
-                    .filter_map(|d| mesh.neighbor(src, *d))
-                    .collect();
-                if neighbors.is_empty() {
+                // Same draw as `rng.choose` over the neighbors in port order.
+                let mut neighbors = [0usize; 6];
+                let mut count = 0;
+                for d in Dir::ALL.into_iter().filter(|d| *d != Dir::Local) {
+                    if let Some(n) = mesh.neighbor(src, d) {
+                        neighbors[count] = n;
+                        count += 1;
+                    }
+                }
+                if count == 0 {
                     None
                 } else {
-                    Some(*rng.choose(&neighbors))
+                    Some(neighbors[rng.below(count as u64) as usize])
                 }
             }
         }
@@ -136,6 +140,41 @@ mod tests {
                 let d = Pattern::Neighbor.dest(&m, src, &mut rng).unwrap();
                 assert_eq!(m.hops(src, d), 1);
             }
+        }
+    }
+
+    #[test]
+    fn neighbor_draws_match_the_collected_choose() {
+        // The allocation-free pick must draw exactly as `choose` over a
+        // collected neighbor list did.
+        fn collected(mesh: &Mesh, src: usize, rng: &mut Rng64) -> Option<usize> {
+            let neighbors: Vec<usize> = Dir::ALL
+                .iter()
+                .filter(|d| **d != Dir::Local)
+                .filter_map(|d| mesh.neighbor(src, *d))
+                .collect();
+            if neighbors.is_empty() {
+                None
+            } else {
+                Some(*rng.choose(&neighbors))
+            }
+        }
+        for mesh in [
+            Mesh::new_2d(1, 1),
+            Mesh::new_2d(5, 3),
+            Mesh::new_3d(4, 4, 4),
+            Mesh::new_3d(2, 3, 4),
+        ] {
+            let (mut a, mut b) = (Rng64::new(77), Rng64::new(77));
+            for src in 0..mesh.nodes() {
+                for _ in 0..50 {
+                    assert_eq!(
+                        Pattern::Neighbor.dest(&mesh, src, &mut a),
+                        collected(&mesh, src, &mut b)
+                    );
+                }
+            }
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 }
