@@ -9,8 +9,9 @@
 //! xxi compare <base> <new>     diff two bench files (the CI perf gate)
 //! ```
 //!
-//! `xxi run e9` prints exactly what the historical `exp_e9_tail` binary
-//! printed; `--format json` emits the schema-version-2 report documents.
+//! `xxi run e9` prints the E9 text report pinned by
+//! `tests/golden/e9.txt`; `--format json` emits the schema-version-2
+//! report documents.
 //! Unknown commands and flags exit 2 with usage; `xxi compare` exits 3
 //! when a regression exceeds the threshold.
 

@@ -1,20 +1,20 @@
-//! The unified experiment CLI: one flag parser shared by the `xxi` driver
-//! and every `exp_*` shim binary.
+//! The unified experiment CLI: the flag parser, experiment selection and
+//! report delivery behind every subcommand of the `xxi` driver.
 //!
 //! All experiments accept the same flags:
 //!
 //! ```text
 //! --seed <u64>          reseed every RNG stream (default: canonical seeds)
-//! --threads <N>         worker threads, N >= 1 (output is byte-identical)
-//! --trace <path>        Chrome trace_event JSON (e10/e17/e18 only)
+//! --threads <N>         worker threads, 1 <= N <= 256 (output is byte-identical)
+//! --trace <path>        Chrome trace_event JSON (e10/e17/e18/e21 only)
 //! --format <text|json>  report format (default: text)
 //! --out <path>          write the report(s) to a file instead of stdout
 //! ```
 //!
-//! Unknown flags are an error (exit 2 with usage) — historically
-//! `exp_e9_tail --thraeds 8` would silently run serial; now it fails
-//! loudly. `--trace` on an experiment that declares no trace capability
-//! is likewise exit 2.
+//! Unknown flags are an error (exit 2 with usage), so a misspelling such
+//! as `xxi run e9 --thraeds 8` fails loudly instead of running serial.
+//! `--trace` on an experiment that declares no trace capability is
+//! likewise exit 2.
 
 use std::path::PathBuf;
 
@@ -68,8 +68,8 @@ impl Default for Flags {
 }
 
 impl Flags {
-    /// The first bench/compare-only flag present, for contexts (`xxi run`,
-    /// the shim binaries) that must reject them.
+    /// The first bench/compare-only flag present, for `xxi run`, which
+    /// must reject them.
     pub fn bench_only_flag(&self) -> Option<&'static str> {
         if self.iters.is_some() {
             Some("--iters")
@@ -83,12 +83,17 @@ impl Flags {
     }
 }
 
-/// The flag block of the usage message (shared by driver and shims).
+/// The largest `--threads` value accepted. Each worker is an OS thread
+/// spawned up front, so an unbounded count is a way to exhaust the host;
+/// 256 is far above any core count the pool is meant to use.
+const MAX_THREADS: usize = 256;
+
+/// The flag block of the usage message (`xxi --help` and usage errors).
 pub const FLAG_USAGE: &str = "\
 flags:
   --seed <u64>          reseed every RNG stream (default: the canonical seeds)
-  --threads <N>         worker threads, N >= 1; output is byte-identical
-  --trace <path>        write a Chrome trace_event JSON file (e10/e17/e18)
+  --threads <N>         worker threads, 1 <= N <= 256; output is byte-identical
+  --trace <path>        write a Chrome trace_event JSON file (e10/e17/e18/e21)
   --format <text|json>  report format (default: text)
   --out <path>          write the report(s) to <path> instead of stdout";
 
@@ -122,10 +127,10 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--threads" => {
                 let v = value(&mut it)?;
                 f.threads = match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
+                    Ok(n) if (1..=MAX_THREADS).contains(&n) => n,
                     _ => {
                         return Err(format!(
-                            "invalid value for --threads: {v} (need an integer >= 1)"
+                            "invalid value for --threads: {v} (need 1 to {MAX_THREADS})"
                         ))
                     }
                 };
@@ -345,54 +350,6 @@ pub fn validate_file(path: &std::path::Path) -> (bool, String) {
     )
 }
 
-/// The whole main() of an `exp_*` shim binary: parse the unified flags,
-/// run the one registered experiment, print/save the report. Never
-/// returns.
-pub fn run_shim(id: &str) -> ! {
-    let exp = experiments::find(id).expect("shim id is registered"); // xxi-allow: panic-path -- see the expect message
-    let prog = std::env::args()
-        .next()
-        .map(|p| {
-            PathBuf::from(p)
-                .file_name()
-                .map(|f| f.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "exp".into())
-        })
-        .unwrap_or_else(|| "exp".into());
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut flags = match parse_flags(&args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\nusage: {prog} [flags]\n{FLAG_USAGE}");
-            std::process::exit(2);
-        }
-    };
-    if flags.all || !flags.ids.is_empty() {
-        eprintln!(
-            "error: {prog} runs exactly one experiment (use the `xxi` driver for sets)\n\n\
-             usage: {prog} [flags]\n{FLAG_USAGE}"
-        );
-        std::process::exit(2);
-    }
-    if let Some(flag) = flags.bench_only_flag() {
-        eprintln!(
-            "error: {flag} is only valid with `xxi bench`/`xxi compare`\n\n\
-             usage: {prog} [flags]\n{FLAG_USAGE}"
-        );
-        std::process::exit(2);
-    }
-    flags.ids = vec![exp.id().to_string()];
-    let exps = match select(&flags) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let rendered = render_reports(&exps, &flags);
-    std::process::exit(deliver(&rendered, &flags));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,6 +392,15 @@ mod tests {
     fn rejects_bad_values() {
         assert!(parse_flags(&args(&["--threads", "0"])).is_err());
         assert!(parse_flags(&args(&["--threads", "x"])).is_err());
+        assert_eq!(
+            parse_flags(&args(&["--threads", "256"])).unwrap().threads,
+            MAX_THREADS
+        );
+        assert!(FLAG_USAGE.contains(&format!("N <= {MAX_THREADS}")));
+        assert!(parse_flags(&args(&["--threads", "257"]))
+            .unwrap_err()
+            .contains("invalid value for --threads: 257"));
+        assert!(parse_flags(&args(&["--threads=100000"])).is_err());
         assert!(parse_flags(&args(&["--seed"])).is_err());
         assert!(parse_flags(&args(&["--format", "xml"])).is_err());
     }

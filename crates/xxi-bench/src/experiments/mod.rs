@@ -3,9 +3,9 @@
 //! [`Report`], plus the [`RunCtx`] that carries the unified run
 //! configuration (seed, threads/executor, tracing) to all of them.
 //!
-//! The `xxi` driver binary (`xxi list` / `xxi run`) and the per-experiment
-//! shim binaries (`exp_e1_scaling` …) are both thin wrappers over this
-//! module; the golden-output tests run it in-process.
+//! The `xxi` driver binary (`xxi list` / `xxi run` / `xxi bench`) is a
+//! thin wrapper over this module; the golden-output tests run it
+//! in-process.
 
 use std::path::PathBuf;
 use std::sync::Mutex;

@@ -3,10 +3,10 @@
 //! `xxi` driver binary (`xxi list` / `xxi run` / `xxi validate` /
 //! `xxi bench` / `xxi compare`).
 //!
-//! The per-experiment `exp_*` binaries are thin shims over
-//! [`cli::run_shim`]; their stdout is byte-identical to the historical
-//! stand-alone implementations and is pinned by `tests/golden.rs`. Keep
-//! experiments deterministic: canonical seeds via `RunCtx::seed_or`.
+//! `xxi` is the crate's only binary: `xxi run <id>` prints an
+//! experiment's report, and `tests/golden.rs` pins that text byte for
+//! byte. Keep experiments deterministic: canonical seeds via
+//! `RunCtx::seed_or`.
 
 use xxi_core::obs::LogHistogram;
 use xxi_core::table::fnum;

@@ -2,10 +2,10 @@
 //! pinned byte-for-byte against `tests/golden/<id>.txt`.
 //!
 //! The goldens hold [`Report::render_text_golden`] output: identical to
-//! the stdout of `xxi run <id>` (and the historical `exp_*` binaries)
-//! except that items an experiment marks *volatile* — wall-clock timings
-//! in e18, real-thread STM races in e20 — are replaced by a placeholder
-//! that still pins their caption/headers/shape.
+//! the stdout of `xxi run <id>` except that items an experiment marks
+//! *volatile* — wall-clock timings in e18, real-thread STM races in e20 —
+//! are replaced by a placeholder that still pins their
+//! caption/headers/shape.
 //!
 //! Regenerate after an intentional output change with:
 //!

@@ -31,6 +31,7 @@
 use std::fmt;
 
 use xxi_core::obs::{EnergyLedger, Layer};
+use xxi_core::report::json::escape;
 use xxi_core::units::{gops_per_watt, ops_per_joule, Energy, Frequency, Ops, Power, Seconds};
 
 // --- diagnostics ----------------------------------------------------------
@@ -252,10 +253,10 @@ impl LintReport {
             }
             s.push_str(&format!(
                 "\n    {{\"rule\": \"{}\", \"severity\": \"{}\", \"source\": \"{}\", \"message\": \"{}\"}}",
-                json_escape(d.rule),
+                escape(d.rule),
                 d.severity,
-                json_escape(&d.source),
-                json_escape(&d.message)
+                escape(&d.source),
+                escape(&d.message)
             ));
         }
         if !self.diags.is_empty() {
@@ -280,21 +281,6 @@ impl fmt::Display for LintReport {
             self.warnings()
         )
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // --- rule: units-dimensional ----------------------------------------------

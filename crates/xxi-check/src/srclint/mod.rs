@@ -33,7 +33,9 @@ pub mod scan;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::lint::{json_escape, Severity};
+use xxi_core::report::json::escape;
+
+use crate::lint::Severity;
 use scan::ScannedFile;
 
 /// JSON schema version for `SrcReport::to_json`.
@@ -124,11 +126,11 @@ impl SrcReport {
             }
             s.push_str(&format!(
                 "\n    {{\"rule\": \"{}\", \"severity\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-                json_escape(&d.rule),
+                escape(&d.rule),
                 d.severity.name(),
-                json_escape(&d.path),
+                escape(&d.path),
                 d.line,
-                json_escape(&d.message)
+                escape(&d.message)
             ));
         }
         if !self.diags.is_empty() {

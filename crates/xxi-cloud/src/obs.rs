@@ -10,8 +10,8 @@
 //! fabric RPCs, root idle-wait). With tracing disabled the simulation
 //! runs identically and records only histograms and the ledger.
 //!
-//! Experiment E17 (`exp_e17_availability`) drives this model and can dump
-//! the trace with `--trace <path>` for chrome://tracing.
+//! Experiment E17 drives this model; `xxi run e17 --trace <path>` dumps
+//! the trace for chrome://tracing.
 
 use xxi_core::des::Sim;
 use xxi_core::metrics::Metrics;

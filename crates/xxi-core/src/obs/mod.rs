@@ -22,8 +22,8 @@
 //!   as a paper-style attribution table.
 //!
 //! `xxi-cloud`, `xxi-mem`, `xxi-noc`, and `xxi-sensor` instrument their
-//! models with these types; the `exp_*` binaries in `xxi-bench` expose
-//! traces via `--trace <path>`.
+//! models with these types; the `xxi` driver in `xxi-bench` exposes
+//! traces via `xxi run <id> --trace <path>`.
 
 mod digest;
 mod hist;

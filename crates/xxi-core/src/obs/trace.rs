@@ -32,6 +32,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use crate::report::json::escape;
 use crate::time::SimTime;
 
 /// Default cap on recorded events; beyond it new events are counted in
@@ -392,194 +393,16 @@ impl Trace {
     }
 }
 
-/// Escape a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A minimal recursive-descent JSON reader, enough to validate shape:
-    /// returns the parsed value or None on malformed input.
-    #[derive(Debug, PartialEq)]
-    enum Json {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Json>),
-        Obj(Vec<(String, Json)>),
-    }
+    use crate::report::json::{self, Json};
 
-    impl Json {
-        fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(kvs) => kvs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-        fn as_num(&self) -> Option<f64> {
-            match self {
-                Json::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-        fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-    }
-
-    fn parse(s: &str) -> Option<Json> {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        let v = value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i == b.len() {
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && (b[*i] as char).is_ascii_whitespace() {
-            *i += 1;
-        }
-    }
-
-    fn value(b: &[u8], i: &mut usize) -> Option<Json> {
-        skip_ws(b, i);
-        match *b.get(*i)? {
-            b'{' => {
-                *i += 1;
-                let mut kvs = Vec::new();
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b'}') {
-                    *i += 1;
-                    return Some(Json::Obj(kvs));
-                }
-                loop {
-                    skip_ws(b, i);
-                    let Json::Str(k) = value(b, i)? else {
-                        return None;
-                    };
-                    skip_ws(b, i);
-                    if b.get(*i) != Some(&b':') {
-                        return None;
-                    }
-                    *i += 1;
-                    kvs.push((k, value(b, i)?));
-                    skip_ws(b, i);
-                    match b.get(*i)? {
-                        b',' => *i += 1,
-                        b'}' => {
-                            *i += 1;
-                            return Some(Json::Obj(kvs));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'[' => {
-                *i += 1;
-                let mut xs = Vec::new();
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return Some(Json::Arr(xs));
-                }
-                loop {
-                    xs.push(value(b, i)?);
-                    skip_ws(b, i);
-                    match b.get(*i)? {
-                        b',' => *i += 1,
-                        b']' => {
-                            *i += 1;
-                            return Some(Json::Arr(xs));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'"' => {
-                *i += 1;
-                let mut s = String::new();
-                loop {
-                    match *b.get(*i)? {
-                        b'"' => {
-                            *i += 1;
-                            return Some(Json::Str(s));
-                        }
-                        b'\\' => {
-                            *i += 1;
-                            match *b.get(*i)? {
-                                b'"' => s.push('"'),
-                                b'\\' => s.push('\\'),
-                                b'n' => s.push('\n'),
-                                b'r' => s.push('\r'),
-                                b't' => s.push('\t'),
-                                b'u' => {
-                                    let hex = std::str::from_utf8(b.get(*i + 1..*i + 5)?).ok()?;
-                                    let cp = u32::from_str_radix(hex, 16).ok()?;
-                                    s.push(char::from_u32(cp)?);
-                                    *i += 4;
-                                }
-                                _ => return None,
-                            }
-                            *i += 1;
-                        }
-                        c => {
-                            s.push(c as char);
-                            *i += 1;
-                        }
-                    }
-                }
-            }
-            b'n' => {
-                *i += 4;
-                Some(Json::Null)
-            }
-            b't' => {
-                *i += 4;
-                Some(Json::Bool(true))
-            }
-            b'f' => {
-                *i += 5;
-                Some(Json::Bool(false))
-            }
-            _ => {
-                let start = *i;
-                while *i < b.len()
-                    && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    *i += 1;
-                }
-                std::str::from_utf8(&b[start..*i])
-                    .ok()?
-                    .parse::<f64>()
-                    .ok()
-                    .map(Json::Num)
-            }
-        }
+    /// A member of a parsed trace event, `None` unless `ev` is an object
+    /// holding `key`.
+    fn member<'a>(ev: &'a Json, key: &str) -> Option<&'a Json> {
+        json::find(ev.as_object()?, key)
     }
 
     #[test]
@@ -603,23 +426,24 @@ mod tests {
         tr.end(id, SimTime::from_us(12));
 
         let json = tr.chrome_json();
-        let Some(Json::Arr(events)) = parse(&json) else {
+        let doc = json::parse(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
+        let Some(events) = doc.as_array() else {
             panic!("trace output is not a JSON array:\n{json}");
         };
         assert_eq!(events.len(), 5);
         let mut spans = 0;
         let mut instants = 0;
-        for ev in &events {
-            let ph = ev.get("ph").and_then(Json::as_str).expect("ph");
-            let ts = ev.get("ts").and_then(Json::as_num).expect("ts");
+        for ev in events {
+            let ph = member(ev, "ph").and_then(Json::as_str).expect("ph");
+            let ts = member(ev, "ts").and_then(Json::as_f64).expect("ts");
             assert!(ts >= 0.0);
-            assert!(ev.get("name").and_then(Json::as_str).is_some());
-            assert!(ev.get("pid").and_then(Json::as_num).is_some());
-            assert!(ev.get("tid").and_then(Json::as_num).is_some());
-            match ph {
+            assert!(member(ev, "name").and_then(Json::as_str).is_some());
+            assert!(member(ev, "pid").and_then(Json::as_f64).is_some());
+            assert!(member(ev, "tid").and_then(Json::as_f64).is_some());
+            match ph.as_str() {
                 "X" => {
                     spans += 1;
-                    let dur = ev.get("dur").and_then(Json::as_num).expect("dur");
+                    let dur = member(ev, "dur").and_then(Json::as_f64).expect("dur");
                     assert!(dur >= 0.0);
                 }
                 "i" => instants += 1,
@@ -632,10 +456,10 @@ mod tests {
         // Timestamps are microseconds: the request span runs 0 → 12 µs.
         let req = events
             .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("request"))
+            .find(|e| member(e, "name").and_then(Json::as_str).as_deref() == Some("request"))
             .unwrap();
-        assert_eq!(req.get("ts").and_then(Json::as_num), Some(0.0));
-        assert_eq!(req.get("dur").and_then(Json::as_num), Some(12.0));
+        assert_eq!(member(req, "ts").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(member(req, "dur").and_then(Json::as_f64), Some(12.0));
     }
 
     #[test]
@@ -667,7 +491,13 @@ mod tests {
         let mut tr = Trace::enabled();
         tr.instant("quote\"back\\slash", "c", 0, SimTime::ZERO);
         let json = tr.chrome_json();
-        assert!(parse(&json).is_some(), "escaping broke JSON:\n{json}");
+        let doc =
+            json::parse(&json).unwrap_or_else(|e| panic!("escaping broke JSON ({e}):\n{json}"));
+        let name = doc.as_array().and_then(|evs| member(&evs[0], "name"));
+        assert_eq!(
+            name.and_then(Json::as_str).as_deref(),
+            Some("quote\"back\\slash")
+        );
     }
 
     #[test]
@@ -698,7 +528,7 @@ mod tests {
         let mut tr = Trace::enabled();
         tr.instant_args("e", "c", 0, SimTime::ZERO, &[("bad", f64::NAN)]);
         let json = tr.chrome_json();
-        assert!(parse(&json).is_some());
+        assert!(json::parse(&json).is_ok(), "not JSON:\n{json}");
         assert!(json.contains("\"bad\":null"));
     }
 }

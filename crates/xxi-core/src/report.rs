@@ -1,7 +1,7 @@
 //! Structured experiment reports: named sections of [`Table`]s, free text,
 //! and scalar findings, rendered both as the classic plain-text experiment
-//! output (byte-identical to what the historical `exp_*` binaries printed)
-//! and as a stable JSON document.
+//! output (what `xxi run <id>` prints, pinned by the golden tests) and as
+//! a stable JSON document.
 //!
 //! The text renderer is the source of truth for golden-output regression
 //! tests; the JSON renderer is the scriptable surface (`xxi run --format
